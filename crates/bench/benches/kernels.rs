@@ -230,10 +230,10 @@ struct EpochScratch {
     logits: Matrix,
     targets: Matrix,
     grad: Matrix,
-    dx: Matrix,
 }
 
-/// The same epoch through the `_into` + workspace API.
+/// The same epoch through the `_into` + workspace API, with the training
+/// loop's parameter-only backward.
 fn epoch_workspace(
     model: &mut PreferenceModel,
     user: &Matrix,
@@ -250,7 +250,7 @@ fn epoch_workspace(
         ws.targets.resize_for_overwrite(labels.len(), 1);
         ws.targets.as_mut_slice().copy_from_slice(labels);
         let _ = bce_with_logits_into(&ws.logits, &ws.targets, &mut ws.grad);
-        model.backward_into(&mut ws.grad, &mut ws.dx);
+        model.backward_params_into(&mut ws.grad);
         model.visit_params(&mut |p| sgd.step_param(p));
     }
 }

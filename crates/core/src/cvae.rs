@@ -59,7 +59,6 @@ struct CvaeScratch {
     dmu: Matrix,
     dlv: Matrix,
     up: Matrix,
-    dx: Matrix,
     dec_in: Matrix,
     grad: Matrix,
     dinput: Matrix,
@@ -163,7 +162,7 @@ impl Cvae {
         ws.dlv.zip_map_inplace(grad_logvar, |t, g| t + g);
         grad_z.zip_map_into(grad_mu, |a, b| a + b, &mut ws.dmu);
         ws.dmu.hstack_into(&ws.dlv, &mut ws.up);
-        encoder.backward_into(&mut ws.up, &mut ws.dx);
+        encoder.backward_params_into(&mut ws.up);
     }
 
     /// Runs the content encoder `E^x`, returning the anchor `z^x`.
@@ -172,9 +171,11 @@ impl Cvae {
     }
 
     /// Backpropagates `grad` through the content encoder (parameter
-    /// gradients accumulate; input gradient discarded).
+    /// gradients accumulate; the input gradient is never formed).
     pub fn backward_content_encoder(&mut self, grad: &Matrix) {
-        let _ = self.content_encoder.backward(grad);
+        let Self { content_encoder, ws, .. } = self;
+        ws.grad.assign(grad);
+        content_encoder.backward_params_into(&mut ws.grad);
     }
 
     /// Decodes `(z, x)` into per-item logits.

@@ -38,7 +38,6 @@ struct TaskScratch {
     input: Matrix,
     logits: Matrix,
     grad: Matrix,
-    dx: Matrix,
 }
 
 /// Computes the loss and (optionally) backpropagates one labelled set on
@@ -67,7 +66,7 @@ fn run_set_on(
     model.forward_into(&mut scratch.input, Mode::Train, &mut scratch.logits);
     let loss = bce_with_logits_into(&scratch.logits, &scratch.labels, &mut scratch.grad);
     if backprop {
-        model.backward_into(&mut scratch.grad, &mut scratch.dx);
+        model.backward_params_into(&mut scratch.grad);
     }
     loss
 }

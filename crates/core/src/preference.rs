@@ -27,11 +27,9 @@ const WS_CAT: usize = 4;
 const WS_DCAT: usize = 5;
 const WS_DXU: usize = 6;
 const WS_DXI: usize = 7;
-const WS_DCU: usize = 8;
-const WS_DCI: usize = 9;
-const WS_SCORE_IN: usize = 10;
-const WS_SCORE_OUT: usize = 11;
-const WS_SLOTS: usize = 12;
+const WS_SCORE_IN: usize = 8;
+const WS_SCORE_OUT: usize = 9;
+const WS_SLOTS: usize = 10;
 
 /// Architecture hyper-parameters of the preference model.
 #[derive(Clone, Copy, Debug)]
@@ -266,22 +264,21 @@ impl Module for PreferenceModel {
         self.ws.put(WS_CAT, cat);
     }
 
-    fn backward_into(&mut self, grad_output: &mut Matrix, out: &mut Matrix) {
+    /// The training path's backward: the input `[c_u ; c_i]` is data, so
+    /// both embeddings take the parameter-only step and the two `g Wᵀ`
+    /// content gradients are never formed. (No caller needs the content
+    /// gradient, so `backward_into` keeps the trait's allocating default.)
+    fn backward_params_into(&mut self, grad_output: &mut Matrix) {
         let mut dcat = self.ws.take(WS_DCAT);
         let mut dxu = self.ws.take(WS_DXU);
         let mut dxi = self.ws.take(WS_DXI);
-        let mut dcu = self.ws.take(WS_DCU);
-        let mut dci = self.ws.take(WS_DCI);
         self.scorer.backward_into(grad_output, &mut dcat);
         dcat.hsplit_into(self.config.embed_dim, &mut dxu, &mut dxi);
-        self.user_embed.backward_into(&mut dxu, &mut dcu);
-        self.item_embed.backward_into(&mut dxi, &mut dci);
-        dcu.hstack_into(&dci, out);
+        self.user_embed.backward_params_into(&mut dxu);
+        self.item_embed.backward_params_into(&mut dxi);
         self.ws.put(WS_DCAT, dcat);
         self.ws.put(WS_DXU, dxu);
         self.ws.put(WS_DXI, dxi);
-        self.ws.put(WS_DCU, dcu);
-        self.ws.put(WS_DCI, dci);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -378,11 +375,17 @@ mod tests {
         let item_content = rng.uniform_matrix(10, 6, -1.0, 1.0);
         let user = vec![0.2; 6];
         let items = [0usize, 2, 5, 9];
+        // A third copy takes the parameter-only backward.
+        let mut c = PreferenceModel::new(small(), &mut SeededRng::new(0));
+        metadpa_nn::module::restore(&mut c, &metadpa_nn::module::snapshot(&mut a));
         let (mut input_b, mut y_b, mut grad_b, mut dx_b) =
             (Matrix::default(), Matrix::default(), Matrix::default(), Matrix::default());
+        let (mut input_c, mut y_c, mut grad_c) =
+            (Matrix::default(), Matrix::default(), Matrix::default());
         for step in 0..3 {
             zero_grad(&mut a);
             zero_grad(&mut b);
+            zero_grad(&mut c);
             let input = PreferenceModel::assemble_input(&user, &item_content, &items);
             let y_a = a.forward(&input, Mode::Train);
             let grad_a = y_a.map(|v| v * 0.1 + step as f32);
@@ -393,15 +396,24 @@ mod tests {
             y_a.map_into(|v| v * 0.1 + step as f32, &mut grad_b);
             b.backward_into(&mut grad_b, &mut dx_b);
 
+            PreferenceModel::assemble_input_into(&user, &item_content, &items, &mut input_c);
+            c.forward_into(&mut input_c, Mode::Train, &mut y_c);
+            y_a.map_into(|v| v * 0.1 + step as f32, &mut grad_c);
+            c.backward_params_into(&mut grad_c);
+
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&y_a), bits(&y_b), "forward drifts at step {step}");
             assert_eq!(bits(&dx_a), bits(&dx_b), "backward drifts at step {step}");
             let mut grads_a = Vec::new();
             let mut grads_b = Vec::new();
+            let mut grads_c = Vec::new();
             a.visit_params(&mut |p| grads_a.push(p.grad.clone()));
             b.visit_params(&mut |p| grads_b.push(p.grad.clone()));
-            for (ga, gb) in grads_a.iter().zip(&grads_b) {
+            c.visit_params(&mut |p| grads_c.push(p.grad.clone()));
+            assert_eq!(grads_a.len(), grads_c.len());
+            for ((ga, gb), gc) in grads_a.iter().zip(&grads_b).zip(&grads_c) {
                 assert_eq!(bits(ga), bits(gb), "param grads drift at step {step}");
+                assert_eq!(bits(gb), bits(gc), "params-only grads drift at step {step}");
             }
         }
 

@@ -132,6 +132,13 @@ impl Module for Dense {
     }
 
     fn backward_into(&mut self, grad_output: &mut Matrix, out: &mut Matrix) {
+        // Same zeroed-product-then-add sequence as `backward`, but into the
+        // layer workspace instead of fresh matrices; then dx = g W^T.
+        self.backward_params_into(grad_output);
+        grad_output.matmul_nt_into(&self.weight.value, out);
+    }
+
+    fn backward_params_into(&mut self, grad_output: &mut Matrix) {
         let Self { weight, bias, cached_input, ws_dw, ws_db } = self;
         let input = cached_input.as_ref().expect("Dense::backward called before forward");
         assert_eq!(
@@ -141,13 +148,10 @@ impl Module for Dense {
             grad_output.shape(),
             (input.rows(), weight.value.cols())
         );
-        // Same zeroed-product-then-add sequence as `backward`, but into the
-        // layer workspace instead of fresh matrices.
         input.matmul_tn_into(grad_output, ws_dw);
         weight.grad.add_inplace(ws_dw);
         grad_output.sum_rows_into(ws_db);
         bias.grad.add_inplace(ws_db);
-        grad_output.matmul_nt_into(&weight.value, out);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {

@@ -82,6 +82,10 @@ impl Module for Mlp {
         self.net.backward_into(grad_output, out);
     }
 
+    fn backward_params_into(&mut self, grad_output: &mut Matrix) {
+        self.net.backward_params_into(grad_output);
+    }
+
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(visitor);
     }

@@ -62,6 +62,18 @@ pub trait Module {
         *out = self.backward(grad_output);
     }
 
+    /// Parameter-only twin of [`Module::backward_into`], for a module whose
+    /// input is data (a model's first layer): accumulates the same
+    /// parameter gradients bit for bit but may skip computing the input
+    /// gradient. `grad_output` is scribbled on like in `backward_into`.
+    ///
+    /// The default runs `backward_into` into a throwaway buffer; layers
+    /// whose input gradient costs a product of its own override it.
+    fn backward_params_into(&mut self, grad_output: &mut Matrix) {
+        let mut discard = Matrix::default();
+        self.backward_into(grad_output, &mut discard);
+    }
+
     /// Visits every trainable parameter in a stable order.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param));
 

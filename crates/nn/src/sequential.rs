@@ -15,12 +15,15 @@ use crate::param::Param;
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Module + Send>>,
+    /// Second ping-pong buffer of `backward_params_into`, which has no
+    /// caller-side output to alternate with.
+    scratch: Matrix,
 }
 
 impl Sequential {
     /// Creates an empty chain.
     pub fn new() -> Self {
-        Self { layers: Vec::new() }
+        Self::default()
     }
 
     /// Appends a layer, builder-style.
@@ -95,6 +98,26 @@ impl Module for Sequential {
         if src_is_grad {
             std::mem::swap(grad_output, out);
         }
+    }
+
+    fn backward_params_into(&mut self, grad_output: &mut Matrix) {
+        // Every layer but the first backpropagates as in `backward_into`;
+        // the first, whose input is the chain's input, takes the
+        // parameter-only step.
+        let Self { layers, scratch } = self;
+        let Some((first, rest)) = layers.split_first_mut() else {
+            return;
+        };
+        let mut src_is_grad = true;
+        for layer in rest.iter_mut().rev() {
+            if src_is_grad {
+                layer.backward_into(grad_output, scratch);
+            } else {
+                layer.backward_into(scratch, grad_output);
+            }
+            src_is_grad = !src_is_grad;
+        }
+        first.backward_params_into(if src_is_grad { grad_output } else { scratch });
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {

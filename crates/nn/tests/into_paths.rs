@@ -67,6 +67,56 @@ fn sequential_forward_backward_into_is_bit_identical() {
 }
 
 #[test]
+fn backward_params_into_accumulates_the_same_param_grads() {
+    // Both ping-pong parities: the full 8-layer chain leaves the first
+    // layer's gradient in the scratch buffer, the 3-layer
+    // Dense -> Relu -> Dense prefix leaves it in the caller's buffer.
+    for n_layers in [8usize, 3] {
+        let build = || {
+            let mut rng = SeededRng::new(3);
+            let mut seq = Sequential::new()
+                .push(Dense::new(6, 8, &mut rng))
+                .push(Relu::new())
+                .push(Dense::new(8, 8, &mut rng));
+            if n_layers == 8 {
+                seq = seq
+                    .push(LeakyRelu::new(0.1))
+                    .push(Tanh::new())
+                    .push(Dense::new(8, 4, &mut rng))
+                    .push(Softmax::new())
+                    .push(Sigmoid::new());
+            }
+            seq
+        };
+        let out_dim = if n_layers == 8 { 4 } else { 8 };
+        let (mut full, mut params_only) = (build(), build());
+        let mut rng = SeededRng::new(17);
+        let (mut input, mut out) = (Matrix::default(), Matrix::default());
+        let (mut grad, mut dx) = (Matrix::default(), Matrix::default());
+        for step in 0..3 {
+            let x = rng.normal_matrix(5, 6);
+            let g = rng.normal_matrix(5, out_dim);
+            for (model, params) in [(&mut full, false), (&mut params_only, true)] {
+                input.assign(&x);
+                model.forward_into(&mut input, Mode::Train, &mut out);
+                grad.assign(&g);
+                if params {
+                    model.backward_params_into(&mut grad);
+                } else {
+                    model.backward_into(&mut grad, &mut dx);
+                }
+            }
+            let want_grads = snapshot_grads(&mut full);
+            let got_grads = snapshot_grads(&mut params_only);
+            assert_eq!(want_grads.len(), got_grads.len());
+            for (i, (w, g2)) in want_grads.iter().zip(&got_grads).enumerate() {
+                assert_bits(&format!("{n_layers} layers: param grad {i} step {step}"), w, g2);
+            }
+        }
+    }
+}
+
+#[test]
 fn empty_sequential_forward_into_is_identity() {
     let mut seq = Sequential::new();
     let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);

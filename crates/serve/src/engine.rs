@@ -565,6 +565,10 @@ mod tests {
 
     #[test]
     fn feedback_sink_graduation_installs_adapted_params() {
+        // Drift is only observed while observability is on; hold the obs
+        // lock so another test enabling it cannot feed this engine's
+        // drift window mid-test.
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(27);
         let sink: &dyn FeedbackSink = &engine;
         sink.graduate(1, &[(0, 1.0), (3, 0.0), (4, 1.0)], true).expect("graduate");

@@ -628,6 +628,7 @@ mod tests {
 
     #[test]
     fn end_to_end_routes_over_real_tcp() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(31);
         let server = serve(ServerConfig::default(), router(Arc::clone(&engine))).expect("bind");
         let addr = server.addr();
@@ -690,7 +691,10 @@ mod tests {
     fn metrics_expose_pool_and_kernel_counters() {
         // Counters only record while observability is on (the serve binary
         // enables it at startup); mirror that here, before the router is
-        // built, so its zero-seeding registers the names.
+        // built, so its zero-seeding registers the names. Every test that
+        // builds a router holds this lock too: a router publishes its
+        // artifact's identity gauges while observability is on, which
+        // would race the run-id assertions below.
         let _obs = metadpa_obs::test_lock();
         metadpa_obs::enable(Arc::new(metadpa_obs::NullRecorder));
         metadpa_obs::metrics::reset();
@@ -773,6 +777,7 @@ mod tests {
 
     #[test]
     fn request_problems_map_to_the_right_status_codes() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(32);
         let server = serve(ServerConfig::default(), router(Arc::clone(&engine))).expect("bind");
         let addr = server.addr();
@@ -804,6 +809,7 @@ mod tests {
 
     #[test]
     fn feedback_route_validates_appends_and_fails_closed() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(35);
 
         // Without a configured log the endpoint fails closed: 503, typed.
@@ -869,6 +875,7 @@ mod tests {
         // guard in `ArtifactRecommender::rank` this panicked inside
         // `top_k_indices` and killed the worker; now it must be a typed
         // 422 with /health still answering afterwards.
+        let _obs = metadpa_obs::test_lock();
         let mut poisoned = tiny_artifact(33);
         for (_, m) in poisoned.params.iter_mut() {
             m.as_mut_slice().fill(f32::NAN);

@@ -630,16 +630,16 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        let skip_zeros = zero_skip_allowed(self, other);
-        let skipped = if skip_zeros { count_zeros(&self.data) } else { 0 };
         out.reset_zeroed(m, n);
         if m * k * n < NAIVE_MAX_MULADDS {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
+            let skip_zeros = scalar_zero_skip(self, other, n);
             crate::reference::matmul_rows(self, other, 0..m, skip_zeros, &mut out.data);
         } else {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
             let path = crate::simd::resolve_and_count();
             if path == crate::simd::Path::Scalar {
+                let skip_zeros = scalar_zero_skip(self, other, n);
                 with_b_panels(&other.data, k, n, |panels, panel_w| {
                     run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
                         let arows = &self.data[rows.start * k..rows.end * k];
@@ -656,7 +656,6 @@ impl Matrix {
                             k,
                             tiles,
                             n,
-                            skip_zeros,
                             path.fused(),
                             tile,
                         );
@@ -664,7 +663,6 @@ impl Matrix {
                 });
             }
         }
-        record_skipped(skipped, n);
     }
 
     /// `self^T @ other` without materializing the transpose
@@ -692,16 +690,16 @@ impl Matrix {
         let (k, m, n) = (self.rows, self.cols, other.cols);
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        let skip_zeros = zero_skip_allowed(self, other);
-        let skipped = if skip_zeros { count_zeros(&self.data) } else { 0 };
         out.reset_zeroed(m, n);
         if m * k * n < NAIVE_MAX_MULADDS {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
+            let skip_zeros = scalar_zero_skip(self, other, n);
             crate::reference::matmul_tn_rows(self, other, 0..m, skip_zeros, &mut out.data);
         } else {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
             let path = crate::simd::resolve_and_count();
             if path == crate::simd::Path::Scalar {
+                let skip_zeros = scalar_zero_skip(self, other, n);
                 with_b_panels(&other.data, k, n, |panels, panel_w| {
                     run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
                         // The transposed operand is accessed with stride `m`;
@@ -735,7 +733,6 @@ impl Matrix {
                                 k,
                                 tiles,
                                 n,
-                                skip_zeros,
                                 path.fused(),
                                 tile,
                             );
@@ -744,7 +741,6 @@ impl Matrix {
                 });
             }
         }
-        record_skipped(skipped, n);
     }
 
     /// `self @ other^T` without materializing the transpose
@@ -800,7 +796,6 @@ impl Matrix {
                             k,
                             tiles,
                             n,
-                            false,
                             path.fused(),
                             tile,
                         );
@@ -883,6 +878,8 @@ thread_local! {
 }
 
 /// Whether the `a == 0.0` fast path may elide additions for this product.
+/// Only the naive and scalar blocked kernels skip zeros; the exact SIMD
+/// kernel computes every term branch-free (DESIGN §8.2).
 ///
 /// Skipping `0 · b` is only sound when `b`'s row is finite: `0 · NaN` and
 /// `0 · ∞` are `NaN`, and eliding them silently converts a diverging
@@ -890,29 +887,36 @@ thread_local! {
 /// hoisted out of the kernel — one scan instead of one per element — and is
 /// only paid at all when `self` actually contains zeros. For finite `b` the
 /// skip is bitwise safe: the accumulator starts at `+0.0` and IEEE-754
-/// addition can never turn it into `-0.0`, so skipping a `± 0.0` addend
-/// changes nothing.
+/// round-to-nearest addition can never turn it into `-0.0`, so adding a
+/// `± 0.0` addend changes nothing — which is also why the SIMD kernel,
+/// which never skips, stays bit-identical to the skipping kernels.
 fn zero_skip_allowed(a: &Matrix, b: &Matrix) -> bool {
     a.data.contains(&0.0) && b.all_finite()
 }
 
 /// Number of exact zeros in `a` — with the skip enabled, exactly the number
-/// of `(i, p)` row additions every kernel elides, independent of how the
-/// kernel tiles the `j` loop. Counting analytically (one O(m·k) scan)
-/// instead of inside the kernels keeps the counters identical across the
-/// naive, blocked, and parallel paths.
+/// of `(i, p)` row additions the naive and scalar blocked kernels elide,
+/// independent of how the kernel tiles the `j` loop. Counting analytically
+/// (one O(m·k) scan) instead of inside the kernels keeps the counters
+/// identical across the naive, blocked, and parallel scalar paths.
 fn count_zeros(data: &[f32]) -> u64 {
     data.iter().filter(|&&v| v == 0.0).count() as u64
 }
 
-/// Bumps the effective-FLOP counters for `skipped` elided row additions of
-/// width `n`, so `obs-report` can show effective vs nominal FLOPs (the
-/// `tensor.matmul.flops` counter is nominal `2·m·k·n`).
-fn record_skipped(skipped: u64, n: usize) {
+/// Resolves the zero-skip for one product on a skipping kernel (naive or
+/// scalar blocked) and bumps the effective-FLOP counters for the elided row
+/// additions of width `n`, so `obs-report` can show effective vs nominal
+/// FLOPs (the `tensor.matmul.flops` counter is nominal `2·m·k·n`). The
+/// exact SIMD path never calls this, so `tensor.matmul.skipped_rows` and
+/// `tensor.matmul.flops_skipped` count only the skipping kernels' work.
+fn scalar_zero_skip(a: &Matrix, b: &Matrix, n: usize) -> bool {
+    let skip = zero_skip_allowed(a, b);
+    let skipped = if skip { count_zeros(&a.data) } else { 0 };
     if skipped > 0 {
         metadpa_obs::counter_add!("tensor.matmul.skipped_rows", skipped);
         metadpa_obs::counter_add!("tensor.matmul.flops_skipped", 2 * n as u64 * skipped);
     }
+    skip
 }
 
 /// Hands `f` the B operand as packed column panels.
@@ -1399,6 +1403,20 @@ mod tests {
             2 * 3 * 2,
             "each skipped row elides 2·n flops"
         );
+        // Only the skipping kernels count: a blocked-size product with the
+        // same zeros bumps the counter on the scalar path and not on the
+        // exact SIMD path, which computes through zeros.
+        let mut big = Matrix::from_fn(32, 32, |r, c| ((r * 32 + c) % 5) as f32);
+        big.set(0, 0, 0.0);
+        let zeros = big.as_slice().iter().filter(|&&v| v == 0.0).count() as u64;
+        for (policy, counted) in [
+            (crate::simd::Policy::ForcedScalar, zeros),
+            (crate::simd::Policy::Auto, if crate::simd::available() { 0 } else { zeros }),
+        ] {
+            let before = counter_value("tensor.matmul.skipped_rows");
+            let _ = crate::simd::with_policy(policy, || big.matmul(&big));
+            assert_eq!(counter_value("tensor.matmul.skipped_rows") - before, counted, "{policy:?}");
+        }
         metadpa_obs::disable();
     }
 

@@ -1,8 +1,9 @@
 //! Deterministic scoped fan-out for the hot loops — std-only, no unsafe.
 //!
 //! Every parallel region in the repository goes through [`Pool`]: row-blocked
-//! matmul kernels, per-task MAML inner loops, per-user evaluation scoring and
-//! serve-side batch scoring. The design goals, in order:
+//! matmul kernels, per-pair Dual-CVAE training, per-task MAML inner loops,
+//! per-user evaluation scoring and serve-side batch scoring. The design
+//! goals, in order:
 //!
 //! 1. **Bit-identical results at any thread count.** The pool only ever
 //!    *partitions* independent work ([`Pool::partition`] yields contiguous
@@ -173,22 +174,25 @@ impl Pool {
             })
         };
         std::thread::scope(|scope| {
-            for w in 1..workers {
-                let parent = parent.clone();
-                let run = &run;
-                let builder = std::thread::Builder::new().name(format!("metadpa-pool-{w}"));
-                builder
-                    .spawn_scoped(scope, move || {
-                        let _root = metadpa_obs::span::inherit_root(parent);
-                        let _req = metadpa_obs::span::enter_request(request);
-                        // Workers inherit the dispatching thread's SIMD
-                        // policy, so a `simd::with_policy` scope covers
-                        // matmuls inside fanned-out tasks too.
-                        crate::simd::with_policy(simd_policy, || run(true));
-                    })
-                    .expect("pool: failed to spawn scoped worker");
-            }
+            let handles: Vec<_> = (1..workers)
+                .map(|w| {
+                    let parent = parent.clone();
+                    let run = &run;
+                    let builder = std::thread::Builder::new().name(format!("metadpa-pool-{w}"));
+                    builder
+                        .spawn_scoped(scope, move || {
+                            let _root = metadpa_obs::span::inherit_root(parent);
+                            let _req = metadpa_obs::span::enter_request(request);
+                            // Workers inherit the dispatching thread's SIMD
+                            // policy, so a `simd::with_policy` scope covers
+                            // matmuls inside fanned-out tasks too.
+                            crate::simd::with_policy(simd_policy, || run(true));
+                        })
+                        .expect("pool: failed to spawn scoped worker")
+                })
+                .collect();
             run(false);
+            join_all(handles);
         });
         metadpa_obs::counter_add!("pool.steal", stolen.load(Ordering::Relaxed) as u64);
         slots
@@ -207,12 +211,14 @@ impl Pool {
     /// kernels split the output buffer into disjoint `&mut` row slices and
     /// hand one to each task, so tiles are written in place with no private
     /// buffers or copies. Callers pass at most one payload per thread
-    /// (payloads beyond `threads` still run, on the spawned workers'
-    /// threads, but sequentially per worker index — [`Pool::partition`]
-    /// produces the right count). Like every pool primitive, workers run
-    /// with nested parallelism disabled and inherit the dispatching span.
+    /// ([`Pool::partition`] produces the right count; debug builds assert
+    /// it): every payload after the first gets its own scoped thread, so
+    /// extra payloads would oversubscribe the pool, not queue. Like every
+    /// pool primitive, workers run with nested parallelism disabled and
+    /// inherit the dispatching span.
     pub fn run_parts<T: Send>(&self, parts: Vec<T>, f: impl Fn(T) + Sync) {
         let n = parts.len();
+        debug_assert!(n <= self.threads, "run_parts: {n} payloads for {} threads", self.threads);
         if n == 0 {
             return;
         }
@@ -230,19 +236,24 @@ impl Pool {
         let mut iter = parts.into_iter();
         let first = iter.next().expect("run_parts: parts is non-empty");
         std::thread::scope(|scope| {
-            for (w, part) in iter.enumerate() {
-                let parent = parent.clone();
-                let f = &f;
-                let builder = std::thread::Builder::new().name(format!("metadpa-pool-{}", w + 1));
-                builder
-                    .spawn_scoped(scope, move || {
-                        let _root = metadpa_obs::span::inherit_root(parent);
-                        let _req = metadpa_obs::span::enter_request(request);
-                        crate::simd::with_policy(simd_policy, || with_threads(1, || f(part)));
-                    })
-                    .expect("pool: failed to spawn scoped worker");
-            }
+            let handles: Vec<_> = iter
+                .enumerate()
+                .map(|(w, part)| {
+                    let parent = parent.clone();
+                    let f = &f;
+                    let builder =
+                        std::thread::Builder::new().name(format!("metadpa-pool-{}", w + 1));
+                    builder
+                        .spawn_scoped(scope, move || {
+                            let _root = metadpa_obs::span::inherit_root(parent);
+                            let _req = metadpa_obs::span::enter_request(request);
+                            crate::simd::with_policy(simd_policy, || with_threads(1, || f(part)));
+                        })
+                        .expect("pool: failed to spawn scoped worker")
+                })
+                .collect();
             with_threads(1, || f(first));
+            join_all(handles);
         });
     }
 
@@ -258,6 +269,21 @@ impl Pool {
         let ranges = self.partition(n_items);
         let results = self.map_tasks(ranges.len(), |c| f(ranges[c].clone()));
         ranges.into_iter().zip(results).collect()
+    }
+}
+
+/// Joins every worker of a region, re-raising the first worker panic.
+///
+/// `std::thread::scope` alone returns as soon as the worker closures have
+/// finished, while their OS threads may still be exiting and still own
+/// their malloc arena. A worker spawned by the next region then cannot
+/// reuse that arena and opens a fresh one, so each such race adds the
+/// worker's working set to peak RSS. Joining waits for the full exit.
+fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for handle in handles {
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -344,6 +370,20 @@ mod tests {
                 }
             });
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        // Whichever thread runs the panicking task, the caller sees the
+        // task's own panic, not a generic scope failure.
+        for threads in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                Pool::with_size(threads).map_tasks(4, |i| assert!(i != 3, "task {i} failed"))
+            })
+            .expect_err("the task panic must propagate");
+            let msg = caught.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+            assert!(msg.contains("task 3 failed"), "threads={threads}: payload {msg:?}");
         }
     }
 

@@ -5,9 +5,10 @@
 //! * **Exact SIMD is bit-identical to the scalar kernels.** The default
 //!   dispatch (`Policy::Auto` on an AVX2+FMA host) resolves to the
 //!   exact-parity kernels, which keep per-element ascending-`k`
-//!   accumulation and the zero-skip branch. Every result must match the
-//!   forced-scalar path bit for bit — at every thread count — and both
-//!   must match `metadpa_tensor::reference`, the textbook oracle.
+//!   accumulation but compute through zero `A` entries that the scalar
+//!   kernels skip. Every result must match the forced-scalar path bit for
+//!   bit — at every thread count — and both must match
+//!   `metadpa_tensor::reference`, the textbook oracle.
 //! * **Fused SIMD is deterministic and accurate.** `Policy::Fused`
 //!   contracts each mul+add into one FMA rounding, so it is *not*
 //!   bit-identical to scalar; it must still be bit-identical to itself
@@ -30,9 +31,11 @@ const THREAD_GRID: [usize; 3] = [1, 2, 7];
 /// comfortably inside this bound (see DESIGN.md §14 for the argument).
 const FUSED_REL_EPS: f32 = 1e-4;
 
-/// A matrix with planted zeros so the exact path's zero-skip branch (and
-/// its signed-zero parity obligations) are exercised, mirroring the
-/// post-ReLU activations the kernels see in training.
+/// A matrix with planted zeros. Only the naive and scalar blocked kernels
+/// skip zero `A` entries (and bump `tensor.matmul.skipped_rows`); the
+/// exact SIMD kernel computes every `0·b` term, which for finite `B` adds
+/// `±0` to an accumulator that is never `-0.0` — a bitwise no-op. These
+/// zeros pin that the skipping and non-skipping kernels agree to the bit.
 fn sparse_matrix(rng: &mut SeededRng, rows: usize, cols: usize) -> Matrix {
     let mut m = rng.normal_matrix(rows, cols);
     for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
@@ -41,6 +44,38 @@ fn sparse_matrix(rng: &mut SeededRng, rows: usize, cols: usize) -> Matrix {
         }
     }
     m
+}
+
+/// A post-ReLU-like left operand: every negative draw becomes a zero
+/// (about half the entries), and every third of those a `-0.0`, so the
+/// skip predicate (which treats `-0.0` as zero) and signed-zero parity are
+/// both exercised at the density the preference net trains on.
+fn relu_matrix(rng: &mut SeededRng, rows: usize, cols: usize) -> Matrix {
+    let mut m = rng.normal_matrix(rows, cols);
+    let mut zeros = 0usize;
+    for v in m.as_mut_slice() {
+        if *v < 0.0 {
+            *v = if zeros % 3 == 2 { -0.0 } else { 0.0 };
+            zeros += 1;
+        }
+    }
+    m
+}
+
+/// How a grid case fills its left operand.
+#[derive(Clone, Copy, Debug)]
+enum Left {
+    /// [`sparse_matrix`]: one entry in seven is `+0.0`.
+    Planted,
+    /// [`relu_matrix`]: about half the entries are `±0.0`.
+    Relu,
+}
+
+fn left_operand(rng: &mut SeededRng, rows: usize, cols: usize, left: Left) -> Matrix {
+    match left {
+        Left::Planted => sparse_matrix(rng, rows, cols),
+        Left::Relu => relu_matrix(rng, rows, cols),
+    }
 }
 
 fn assert_bit_identical(name: &str, want: &Matrix, got: &Matrix, context: &str) {
@@ -61,26 +96,36 @@ fn assert_close(name: &str, want: &Matrix, got: &Matrix, rel_eps: f32) {
 /// Shapes chosen to hit every corner of the SIMD drivers: full 16-wide
 /// tiles, ragged right edges (n % 16 != 0), partial 6-row strips
 /// (m % 6 != 0), k of 1, n of 1 (the scorer head), single rows, and
-/// shapes big enough to engage the parallel row split.
-fn shape_grid() -> Vec<(usize, usize, usize, u64)> {
-    vec![
-        (96, 64, 128, 11),  // all-full tiles and strips, parallel path
-        (97, 33, 130, 23),  // ragged everywhere: m%6=1, n%16=2
-        (6, 17, 16, 31),    // one exact strip, one exact tile
-        (5, 8, 19, 41),     // single partial strip, ragged edge
-        (64, 1, 48, 43),    // k=1: one accumulation step
-        (128, 96, 1, 47),   // n=1: the scorer's final layer
-        (1, 257, 9, 5),     // single row
-        (13, 5, 3, 3),      // tiny: below every blocking threshold
-        (160, 512, 64, 59), // deep k: accumulation-order stress
-    ]
+/// shapes big enough to engage the parallel row split — plus the
+/// preference net's training shapes (m = set sizes 5/10/25, k and n the
+/// embedding and hidden widths) on post-ReLU-like left operands.
+fn shape_grid() -> Vec<(usize, usize, usize, u64, Left)> {
+    let mut grid = vec![
+        (96, 64, 128, 11, Left::Planted), // all-full tiles and strips, parallel path
+        (97, 33, 130, 23, Left::Planted), // ragged everywhere: m%6=1, n%16=2
+        (6, 17, 16, 31, Left::Planted),   // one exact strip, one exact tile
+        (5, 8, 19, 41, Left::Planted),    // single partial strip, ragged edge
+        (64, 1, 48, 43, Left::Planted),   // k=1: one accumulation step
+        (128, 96, 1, 47, Left::Planted),  // n=1: the scorer's final layer
+        (1, 257, 9, 5, Left::Planted),    // single row
+        (13, 5, 3, 3, Left::Planted),     // tiny: below every blocking threshold
+        (160, 512, 64, 59, Left::Planted), // deep k: accumulation-order stress
+    ];
+    for m in [5, 10, 25] {
+        for k in [10, 24, 48, 64] {
+            for n in [24, 32, 48] {
+                grid.push((m, k, n, (m * 10_000 + k * 100 + n) as u64, Left::Relu));
+            }
+        }
+    }
+    grid
 }
 
 #[test]
 fn exact_simd_matmul_is_bit_identical_to_scalar_at_every_thread_count() {
-    for (m, k, n, seed) in shape_grid() {
+    for (m, k, n, seed, left) in shape_grid() {
         let mut rng = SeededRng::new(seed);
-        let a = sparse_matrix(&mut rng, m, k);
+        let a = left_operand(&mut rng, m, k, left);
         let b = rng.normal_matrix(k, n);
         let oracle = reference::matmul(&a, &b);
         let scalar = simd::with_policy(Policy::ForcedScalar, || with_threads(1, || a.matmul(&b)));
@@ -91,7 +136,7 @@ fn exact_simd_matmul_is_bit_identical_to_scalar_at_every_thread_count() {
                 "matmul",
                 &scalar,
                 &auto,
-                &format!("{m}x{k}x{n} auto vs scalar, threads={threads}"),
+                &format!("{m}x{k}x{n} {left:?} auto vs scalar, threads={threads}"),
             );
         }
     }
@@ -99,9 +144,9 @@ fn exact_simd_matmul_is_bit_identical_to_scalar_at_every_thread_count() {
 
 #[test]
 fn exact_simd_matmul_tn_is_bit_identical_to_scalar_at_every_thread_count() {
-    for (m, k, n, seed) in shape_grid() {
+    for (m, k, n, seed, left) in shape_grid() {
         let mut rng = SeededRng::new(seed);
-        let a = sparse_matrix(&mut rng, k, m); // used as A^T: k x m
+        let a = left_operand(&mut rng, k, m, left); // used as A^T: k x m
         let b = rng.normal_matrix(k, n);
         let oracle = reference::matmul_tn(&a, &b);
         let scalar =
@@ -114,7 +159,7 @@ fn exact_simd_matmul_tn_is_bit_identical_to_scalar_at_every_thread_count() {
                 "matmul_tn",
                 &scalar,
                 &auto,
-                &format!("{m}x{k}x{n} auto vs scalar, threads={threads}"),
+                &format!("{m}x{k}x{n} {left:?} auto vs scalar, threads={threads}"),
             );
         }
     }
@@ -122,9 +167,9 @@ fn exact_simd_matmul_tn_is_bit_identical_to_scalar_at_every_thread_count() {
 
 #[test]
 fn exact_simd_matmul_nt_is_bit_identical_to_scalar_at_every_thread_count() {
-    for (m, k, n, seed) in shape_grid() {
+    for (m, k, n, seed, left) in shape_grid() {
         let mut rng = SeededRng::new(seed);
-        let a = sparse_matrix(&mut rng, m, k);
+        let a = left_operand(&mut rng, m, k, left);
         let b = rng.normal_matrix(n, k);
         let oracle = reference::matmul_nt(&a, &b);
         let scalar =
@@ -137,7 +182,7 @@ fn exact_simd_matmul_nt_is_bit_identical_to_scalar_at_every_thread_count() {
                 "matmul_nt",
                 &scalar,
                 &auto,
-                &format!("{m}x{k}x{n} auto vs scalar, threads={threads}"),
+                &format!("{m}x{k}x{n} {left:?} auto vs scalar, threads={threads}"),
             );
         }
     }
@@ -145,10 +190,10 @@ fn exact_simd_matmul_nt_is_bit_identical_to_scalar_at_every_thread_count() {
 
 #[test]
 fn signed_zero_products_keep_bit_parity_through_the_skip_branch() {
-    // A zero entry in A can be skipped (scalar, exact SIMD) or multiplied
-    // through (a ±0.0 product added to the accumulator); the exact SIMD
-    // kernels must make the same choice as the scalar ones so results
-    // match down to the sign bit. Plant the stress pattern: -0.0 entries
+    // A zero entry in A is skipped by the scalar kernels (finite B) and
+    // multiplied through by the exact SIMD kernel (a ±0.0 product added to
+    // the accumulator); both choices must give the same result down to the
+    // sign bit. Plant the stress pattern: -0.0 entries
     // in A (the skip predicate treats them as zero), ±0.0 rows in B, and
     // rows whose products are all signed zeros.
     let mut a = Matrix::zeros(8, 4);
@@ -172,9 +217,9 @@ fn signed_zero_products_keep_bit_parity_through_the_skip_branch() {
 
 #[test]
 fn fused_simd_is_deterministic_and_within_epsilon_of_reference() {
-    for (m, k, n, seed) in shape_grid() {
+    for (m, k, n, seed, left) in shape_grid() {
         let mut rng = SeededRng::new(seed);
-        let a = sparse_matrix(&mut rng, m, k);
+        let a = left_operand(&mut rng, m, k, left);
         let b = rng.normal_matrix(k, n);
         let oracle = reference::matmul(&a, &b);
         let fused = simd::with_policy(Policy::Fused, || with_threads(1, || a.matmul(&b)));
