@@ -14,8 +14,13 @@
 //! paths as the offline pipeline — scoring and serve-time MAML adaptation
 //! are therefore bit-identical to what `fit`/`fine_tune`/`score` produce
 //! in memory, which is what makes the export → reload round trip exact.
+//! The scorer is split in two: a [`SharedArtifact`] holding everything
+//! read-only (θ, content, the item embedding table), shared behind an
+//! `Arc`, and the recommender itself, a per-caller handle owning only the
+//! model it scores with and its score buffer.
 
 use std::fmt;
+use std::sync::Arc;
 
 use metadpa_data::task::Task;
 use metadpa_metrics::ranking::top_k_indices;
@@ -260,7 +265,9 @@ impl Artifact {
     ///
     /// Validates that the content matrices match the recorded architecture
     /// and that the parameter table restores cleanly into a freshly built
-    /// [`crate::PreferenceModel`] of that architecture.
+    /// [`crate::PreferenceModel`] of that architecture. The returned
+    /// recommender is the first handle onto the artifact's
+    /// [`SharedArtifact`]; more come from [`ArtifactRecommender::from_shared`].
     pub fn into_recommender(self) -> Result<ArtifactRecommender, ArtifactError> {
         let Artifact { meta, params, user_content, item_content } = self;
         let want = meta.preference.content_dim;
@@ -296,30 +303,46 @@ impl Artifact {
         } else {
             learner.embed_items(&item_content)
         };
-        Ok(ArtifactRecommender {
+        let mean_user = column_mean(&user_content);
+        let shared = SharedArtifact {
             meta,
-            learner,
             theta,
             user_content,
             item_content,
             item_embeds,
             fused,
             catalogue,
-            scores: Vec::new(),
-        })
+            mean_user,
+        };
+        Ok(ArtifactRecommender { shared: Arc::new(shared), learner, scores: Vec::new() })
     }
 }
 
-/// The serving-side scorer rebuilt from an [`Artifact`].
-///
-/// Wraps a [`MetaLearner`] pinned at the exported parameters θ. Every
-/// scoring call runs at θ unless explicitly given an adapted parameter set
-/// (produced by [`ArtifactRecommender::adapt_user`] /
-/// [`ArtifactRecommender::adapt_content`]); adapted scoring rewinds to θ
-/// afterwards, so the recommender itself never drifts.
-pub struct ArtifactRecommender {
+/// Column mean of a content matrix: the "average user" vector used for
+/// cold requests that carry no content of their own.
+fn column_mean(content: &Matrix) -> Vec<f32> {
+    let rows = content.rows();
+    let mut mean = vec![0.0f32; content.cols()];
+    for r in 0..rows {
+        for (m, v) in mean.iter_mut().zip(content.row(r)) {
+            *m += v;
+        }
+    }
+    let inv = 1.0 / rows.max(1) as f32;
+    for m in &mut mean {
+        *m *= inv;
+    }
+    mean
+}
+
+/// The immutable half of a reloaded artifact: everything scoring reads and
+/// nothing it writes. Built once by [`Artifact::into_recommender`] and
+/// shared behind an [`Arc`] by every [`ArtifactRecommender`] handle, so
+/// any number of callers rank and adapt concurrently over one copy of θ,
+/// the content matrices and the item embedding table.
+pub struct SharedArtifact {
     meta: ArtifactMeta,
-    learner: MetaLearner,
+    /// The exported meta-parameters — the rewind point for all adaptation.
     theta: Vec<Matrix>,
     user_content: Matrix,
     item_content: Matrix,
@@ -334,11 +357,11 @@ pub struct ArtifactRecommender {
     /// `0..n_items`, built once at reload: every ranking request scores
     /// the whole catalogue, so the index list never changes.
     catalogue: Vec<usize>,
-    /// Per-request score buffer, reused across calls.
-    scores: Vec<f32>,
+    /// Column mean of `user_content`, computed once at reload.
+    mean_user: Vec<f32>,
 }
 
-impl ArtifactRecommender {
+impl SharedArtifact {
     /// The artifact's metadata.
     pub fn meta(&self) -> &ArtifactMeta {
         &self.meta
@@ -365,28 +388,10 @@ impl ArtifactRecommender {
         &self.theta
     }
 
-    /// The full-catalogue scores of the most recent successful ranking
-    /// call (the reused per-request buffer). The serving layer samples
-    /// these into its live drift window; empty before the first request.
-    pub fn last_scores(&self) -> &[f32] {
-        &self.scores
-    }
-
     /// Column mean of the user-content matrix: the "average user" vector
     /// used for cold requests that carry no content of their own.
-    pub fn mean_user_content(&self) -> Vec<f32> {
-        let rows = self.user_content.rows();
-        let mut mean = vec![0.0f32; self.user_content.cols()];
-        for r in 0..rows {
-            for (m, v) in mean.iter_mut().zip(self.user_content.row(r)) {
-                *m += v;
-            }
-        }
-        let inv = 1.0 / rows.max(1) as f32;
-        for m in &mut mean {
-            *m *= inv;
-        }
-        mean
+    pub fn mean_user_content(&self) -> &[f32] {
+        &self.mean_user
     }
 
     fn check_user(&self, user: usize) -> Result<(), ArtifactError> {
@@ -444,50 +449,125 @@ impl ArtifactRecommender {
         Ok(())
     }
 
-    /// Scores the whole catalogue for `content` and returns the top `k`
-    /// `(item, score)` pairs, best first. With `params` the adapted
-    /// parameter set is used for this call only (θ is restored after —
-    /// including on the error path, so a poisoned request cannot corrupt
-    /// the recommender for later callers).
-    ///
-    /// Non-finite scores are rejected here rather than handed to
-    /// [`top_k_indices`], whose total-order sort panics on NaN.
+    /// Scores the whole catalogue for `content` into `scores` and returns
+    /// the top `k` `(item, score)` pairs, best first. θ requests rank
+    /// straight from the precomputed embedding table. With `params` the
+    /// adapted set is restored into `learner` for this call only and the
+    /// full pass runs over the raw item content (the table was built at θ
+    /// and would be stale); `learner` is rewound to θ *before* the
+    /// non-finite check, so a poisoned request cannot corrupt the handle
+    /// for later calls. Non-finite scores are rejected here rather than
+    /// handed to [`top_k_indices`], whose total-order sort panics on NaN.
+    fn rank(
+        &self,
+        learner: &mut MetaLearner,
+        scores: &mut Vec<f32>,
+        content: &[f32],
+        k: usize,
+        params: Option<&[Matrix]>,
+    ) -> Result<Vec<(usize, f32)>, ArtifactError> {
+        let _sp = metadpa_obs::span!("rank.catalogue");
+        let mut score = || {
+            let _k = metadpa_obs::span!("kernels.score");
+            match params {
+                Some(p) => {
+                    restore(learner.model_mut(), p);
+                    learner.score_into(content, &self.item_content, &self.catalogue, scores);
+                    restore(learner.model_mut(), &self.theta);
+                }
+                None => {
+                    learner.score_embedded_into(content, &self.item_embeds, &self.catalogue, scores)
+                }
+            }
+        };
+        if self.fused {
+            simd::with_policy(simd::Policy::Fused, score);
+        } else {
+            score();
+        }
+        if let Some(item) = scores.iter().position(|s| !s.is_finite()) {
+            return Err(ArtifactError::NonFiniteScores { item });
+        }
+        // The returned ranking allocates by API contract: callers own it.
+        Ok(top_k_indices(scores, k).into_iter().map(|i| (i, scores[i])).collect())
+    }
+
+    /// Runs the serve-time MAML inner loop for `task` from θ on `learner`
+    /// and returns the adapted parameters, leaving `learner` at θ.
+    fn adapt(&self, learner: &mut MetaLearner, task: &Task, user_content: &Matrix) -> Vec<Matrix> {
+        restore(learner.model_mut(), &self.theta);
+        learner.fine_tune(std::slice::from_ref(task), user_content, &self.item_content);
+        // Retained allocation: the adapted parameter set is the return
+        // value and must outlive the rewind below.
+        let adapted = snapshot(learner.model_mut());
+        restore(learner.model_mut(), &self.theta);
+        adapted
+    }
+}
+
+/// A scoring handle onto a [`SharedArtifact`]: the serving-side scorer
+/// rebuilt from an [`Artifact`].
+///
+/// The handle owns only what scoring mutates — a [`MetaLearner`] pinned at
+/// the exported parameters θ (its layers cache activations) and the score
+/// buffer — and reads everything else through the shared [`Arc`]. Every
+/// scoring call runs at θ unless explicitly given an adapted parameter set
+/// (produced by [`ArtifactRecommender::adapt_user`] /
+/// [`ArtifactRecommender::adapt_content`]); adapted scoring rewinds to θ
+/// afterwards, so the handle itself never drifts. Handles built from the
+/// same shared part score bit-identically, so a server keeps one per
+/// concurrent caller.
+pub struct ArtifactRecommender {
+    shared: Arc<SharedArtifact>,
+    learner: MetaLearner,
+    /// Per-request score buffer, reused across calls.
+    scores: Vec<f32>,
+}
+
+impl ArtifactRecommender {
+    /// A fresh handle onto `shared`: a new model restored to θ and an empty
+    /// score buffer. Scores bit-identically to every other handle on the
+    /// same shared part (the construction seed is irrelevant — `restore`
+    /// overwrites every parameter).
+    pub fn from_shared(shared: Arc<SharedArtifact>) -> Self {
+        let meta = &shared.meta;
+        let mut learner = MetaLearner::new(meta.preference, meta.maml, &mut SeededRng::new(0));
+        restore(learner.model_mut(), &shared.theta);
+        Self { shared, learner, scores: Vec::new() }
+    }
+
+    /// The immutable part this handle reads through.
+    pub fn shared(&self) -> &Arc<SharedArtifact> {
+        &self.shared
+    }
+
+    /// The artifact's metadata.
+    pub fn meta(&self) -> &ArtifactMeta {
+        self.shared.meta()
+    }
+
+    /// The full-catalogue scores of this handle's most recent successful
+    /// ranking call (the reused per-request buffer). The serving layer
+    /// samples these into its live drift window; empty before the first
+    /// request.
+    pub fn last_scores(&self) -> &[f32] {
+        &self.scores
+    }
+
     /// Top-`k` recommendations for a known (warm) user by id, best first.
     ///
     /// Pass `params` to score with an adapted parameter set from
-    /// [`ArtifactRecommender::adapt_user`]; θ is untouched either way.
+    /// [`ArtifactRecommender::adapt_user`]; θ is untouched either way
+    /// (restored after the call, including on the error path).
     pub fn recommend(
         &mut self,
         user: usize,
         k: usize,
         params: Option<&[Matrix]>,
     ) -> Result<Vec<(usize, f32)>, ArtifactError> {
-        self.check_user(user)?;
-        // Destructure so the user-content row can be borrowed alongside
-        // the learner and score buffer (no `.to_vec()` of the row).
-        let Self {
-            learner,
-            theta,
-            user_content,
-            item_content,
-            item_embeds,
-            fused,
-            catalogue,
-            scores,
-            ..
-        } = self;
-        rank_catalogue(
-            learner,
-            theta,
-            item_content,
-            item_embeds,
-            catalogue,
-            scores,
-            user_content.row(user),
-            k,
-            params,
-            *fused,
-        )
+        self.shared.check_user(user)?;
+        let content = self.shared.user_content.row(user);
+        self.shared.rank(&mut self.learner, &mut self.scores, content, k, params)
     }
 
     /// Top-`k` recommendations for a raw content vector (a user the
@@ -498,20 +578,8 @@ impl ArtifactRecommender {
         k: usize,
         params: Option<&[Matrix]>,
     ) -> Result<Vec<(usize, f32)>, ArtifactError> {
-        self.check_content(content)?;
-        let Self { learner, theta, item_content, item_embeds, fused, catalogue, scores, .. } = self;
-        rank_catalogue(
-            learner,
-            theta,
-            item_content,
-            item_embeds,
-            catalogue,
-            scores,
-            content,
-            k,
-            params,
-            *fused,
-        )
+        self.shared.check_content(content)?;
+        self.shared.rank(&mut self.learner, &mut self.scores, content, k, params)
     }
 
     /// Serve-time MAML adaptation for a known user: runs the trained
@@ -526,17 +594,12 @@ impl ArtifactRecommender {
         user: usize,
         support: &[(usize, f32)],
     ) -> Result<Vec<Matrix>, ArtifactError> {
-        self.check_user(user)?;
-        self.check_support(support)?;
+        let shared = &*self.shared;
+        shared.check_user(user)?;
+        shared.check_support(support)?;
         // Retained clone: `Task` owns its support pairs by contract.
         let task = Task { user, support: support.to_vec(), query: Vec::new() };
-        restore(self.learner.model_mut(), &self.theta);
-        self.learner.fine_tune(std::slice::from_ref(&task), &self.user_content, &self.item_content);
-        // Retained allocation: the adapted parameter set is the return
-        // value and must outlive the rewind below.
-        let adapted = snapshot(self.learner.model_mut());
-        restore(self.learner.model_mut(), &self.theta);
-        Ok(adapted)
+        Ok(shared.adapt(&mut self.learner, &task, &shared.user_content))
     }
 
     /// Serve-time MAML adaptation for a brand-new user described only by a
@@ -547,101 +610,12 @@ impl ArtifactRecommender {
         content: &[f32],
         support: &[(usize, f32)],
     ) -> Result<Vec<Matrix>, ArtifactError> {
-        self.check_content(content)?;
-        self.check_support(support)?;
+        let shared = &*self.shared;
+        shared.check_content(content)?;
+        shared.check_support(support)?;
         let uc = Matrix::from_vec(1, content.len(), content.to_vec());
         let task = Task { user: 0, support: support.to_vec(), query: Vec::new() };
-        restore(self.learner.model_mut(), &self.theta);
-        self.learner.fine_tune(std::slice::from_ref(&task), &uc, &self.item_content);
-        let adapted = snapshot(self.learner.model_mut());
-        restore(self.learner.model_mut(), &self.theta);
-        Ok(adapted)
-    }
-}
-
-/// Scores the whole catalogue for `content` and returns the top `k`
-/// `(item, score)` pairs, best first. With `params` the adapted parameter
-/// set is used for this call only; θ is restored after — *before* the
-/// non-finite check, so a poisoned request cannot corrupt the recommender
-/// for later callers.
-///
-/// Free-standing (over [`ArtifactRecommender`]'s destructured fields) so
-/// `recommend` can lend the user-content row and the reused score buffer
-/// at the same time. Non-finite scores are rejected here rather than
-/// handed to [`top_k_indices`], whose total-order sort panics on NaN.
-#[allow(clippy::too_many_arguments)]
-fn rank_catalogue(
-    learner: &mut MetaLearner,
-    theta: &[Matrix],
-    item_content: &Matrix,
-    item_embeds: &Matrix,
-    catalogue: &[usize],
-    scores: &mut Vec<f32>,
-    content: &[f32],
-    k: usize,
-    params: Option<&[Matrix]>,
-    fused: bool,
-) -> Result<Vec<(usize, f32)>, ArtifactError> {
-    let _sp = metadpa_obs::span!("rank.catalogue");
-    if fused {
-        simd::with_policy(simd::Policy::Fused, || {
-            score_catalogue(
-                learner,
-                theta,
-                item_content,
-                item_embeds,
-                catalogue,
-                scores,
-                content,
-                params,
-            );
-        });
-    } else {
-        score_catalogue(
-            learner,
-            theta,
-            item_content,
-            item_embeds,
-            catalogue,
-            scores,
-            content,
-            params,
-        );
-    }
-    if let Some(item) = scores.iter().position(|s| !s.is_finite()) {
-        return Err(ArtifactError::NonFiniteScores { item });
-    }
-    // The returned ranking allocates by API contract: callers own it.
-    Ok(top_k_indices(scores, k).into_iter().map(|i| (i, scores[i])).collect())
-}
-
-/// The scoring half of [`rank_catalogue`]: θ requests rank straight from
-/// the precomputed embedding table; adapted-parameter requests restore the
-/// adapted set, run the full pass over the raw item content (the table was
-/// built at θ and would be stale), and rewind to θ before returning — the
-/// rewind runs *before* the caller's non-finite check, so a poisoned
-/// request cannot corrupt the recommender for later callers.
-#[allow(clippy::too_many_arguments)]
-fn score_catalogue(
-    learner: &mut MetaLearner,
-    theta: &[Matrix],
-    item_content: &Matrix,
-    item_embeds: &Matrix,
-    catalogue: &[usize],
-    scores: &mut Vec<f32>,
-    content: &[f32],
-    params: Option<&[Matrix]>,
-) {
-    if let Some(p) = params {
-        restore(learner.model_mut(), p);
-        {
-            let _k = metadpa_obs::span!("kernels.score");
-            learner.score_into(content, item_content, catalogue, scores);
-        }
-        restore(learner.model_mut(), theta);
-    } else {
-        let _k = metadpa_obs::span!("kernels.score");
-        learner.score_embedded_into(content, item_embeds, catalogue, scores);
+        Ok(shared.adapt(&mut self.learner, &task, &uc))
     }
 }
 
@@ -747,8 +721,8 @@ mod tests {
             String::new(),
         );
         let mut rec = artifact.into_recommender().expect("valid artifact");
-        assert_eq!(rec.n_users(), 4);
-        assert_eq!(rec.n_items(), 9);
+        assert_eq!(rec.shared().n_users(), 4);
+        assert_eq!(rec.shared().n_items(), 9);
         assert_eq!(rec.meta().model_name, "unit");
 
         // Bit-exact agreement with scoring through the live learner.
@@ -770,7 +744,7 @@ mod tests {
         let adapted = rec.adapt_user(1, &support).expect("adapt");
         let again = rec.adapt_user(1, &support).expect("adapt twice");
         assert_eq!(adapted, again, "same support must yield the same parameters");
-        assert_ne!(adapted, rec.theta(), "adaptation must move the parameters");
+        assert_ne!(adapted, rec.shared().theta(), "adaptation must move the parameters");
 
         let adapted_list = rec.recommend(1, 5, Some(&adapted)).unwrap();
         let base_after = rec.recommend(1, 5, None).unwrap();
@@ -780,8 +754,8 @@ mod tests {
 
         // Content-based adaptation works on the "average user" vector and
         // produces a full parameter set of the same shape.
-        let mean = rec.mean_user_content();
-        assert_eq!(mean.len(), rec.content_dim());
+        let mean = rec.shared().mean_user_content().to_vec();
+        assert_eq!(mean.len(), rec.shared().content_dim());
         rec.recommend_content(&mean, 2, None).expect("mean content scores");
         let by_content = rec.adapt_content(&mean, &support).expect("content adapt");
         assert_eq!(by_content.len(), adapted.len());
@@ -812,7 +786,7 @@ mod tests {
         let mut rec = tiny_artifact(17).into_recommender().expect("valid artifact");
         assert!(rec.last_scores().is_empty(), "no request yet");
         rec.recommend(0, 3, None).expect("recommend");
-        assert_eq!(rec.last_scores().len(), rec.n_items());
+        assert_eq!(rec.last_scores().len(), rec.shared().n_items());
         assert!(rec.last_scores().iter().all(|s| s.is_finite()));
     }
 
@@ -858,6 +832,7 @@ mod tests {
         let mut healthy = tiny_artifact(15).into_recommender().expect("valid artifact");
         let before = healthy.recommend(0, 3, None).expect("healthy scores");
         let bad_params: Vec<Matrix> = healthy
+            .shared()
             .theta()
             .iter()
             .map(|m| {

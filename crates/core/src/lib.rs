@@ -44,7 +44,9 @@ pub mod pipeline;
 pub mod preference;
 
 pub use adaptation::MultiSourceAdapter;
-pub use artifact::{Artifact, ArtifactError, ArtifactMeta, ArtifactRecommender, ARTIFACT_SCHEMA};
+pub use artifact::{
+    Artifact, ArtifactError, ArtifactMeta, ArtifactRecommender, SharedArtifact, ARTIFACT_SCHEMA,
+};
 pub use dual_cvae::{DualCvae, DualCvaeConfig, DualCvaeLosses};
 pub use eval::{evaluate_scenario, Recommender};
 pub use maml::{MamlConfig, MetaLearner, SentinelConfig, TrainAbort, TrainAnomaly};

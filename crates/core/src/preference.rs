@@ -31,6 +31,17 @@ const WS_SCORE_IN: usize = 8;
 const WS_SCORE_OUT: usize = 9;
 const WS_SLOTS: usize = 10;
 
+/// Rows per forward pass when scoring a candidate list. Every kernel
+/// accumulates each output element over the inner dimension in ascending
+/// order from its own input row (the argument behind
+/// [`PreferenceModel::embed_items`]), so scoring block by block is bit-
+/// identical to one pass over all rows. Blocking bounds the scoring scratch
+/// (inputs, activations and the layers' cached inputs) at `SCORE_BLOCK`
+/// rows whatever the catalogue size, and keeps each block's products below
+/// the matmul kernels' 2^20 mul-add parallel threshold at the serving
+/// shapes, so a ranking request runs on the thread that serves it.
+const SCORE_BLOCK: usize = 256;
+
 /// Architecture hyper-parameters of the preference model.
 #[derive(Clone, Copy, Debug)]
 pub struct PreferenceConfig {
@@ -114,7 +125,8 @@ impl PreferenceModel {
     /// [`PreferenceModel::score_items`] into a reused caller vector —
     /// bit-identical, and the whole path (input assembly, forward pass)
     /// runs on workspace buffers, so steady-state catalogue ranking
-    /// allocates nothing.
+    /// allocates nothing. Items are scored in blocks of [`SCORE_BLOCK`]
+    /// rows (see there for why that changes no bit).
     pub fn score_items_into(
         &mut self,
         user_content: &[f32],
@@ -123,14 +135,13 @@ impl PreferenceModel {
         out: &mut Vec<f32>,
     ) {
         out.clear();
-        if items.is_empty() {
-            return;
-        }
         let mut input = self.ws.take(WS_SCORE_IN);
         let mut logits = self.ws.take(WS_SCORE_OUT);
-        Self::assemble_input_into(user_content, item_content, items, &mut input);
-        self.forward_into(&mut input, Mode::Eval, &mut logits);
-        out.extend_from_slice(logits.as_slice());
+        for block in items.chunks(SCORE_BLOCK) {
+            Self::assemble_input_into(user_content, item_content, block, &mut input);
+            self.forward_into(&mut input, Mode::Eval, &mut logits);
+            out.extend_from_slice(logits.as_slice());
+        }
         self.ws.put(WS_SCORE_IN, input);
         self.ws.put(WS_SCORE_OUT, logits);
     }
@@ -169,7 +180,8 @@ impl PreferenceModel {
     /// the tiled `[c_u ; c_i]` assembly. The user side is embedded as a
     /// single row (per-row accumulation makes that equal to embedding the
     /// tiled batch), then the scorer runs over `[x_u ; x_i]` rows built
-    /// straight from the table. Zero steady-state allocations.
+    /// straight from the table, [`SCORE_BLOCK`] rows at a time. Zero
+    /// steady-state allocations.
     pub fn score_embedded_into(
         &mut self,
         user_content: &[f32],
@@ -203,14 +215,16 @@ impl PreferenceModel {
         cu.resize_for_overwrite(1, self.config.content_dim);
         cu.row_mut(0).copy_from_slice(user_content);
         self.user_embed.forward_into(&mut cu, Mode::Eval, &mut xu);
-        cat.resize_for_overwrite(items.len(), 2 * e);
-        for (row, &item) in items.iter().enumerate() {
-            let r = cat.row_mut(row);
-            r[..e].copy_from_slice(xu.row(0));
-            r[e..].copy_from_slice(item_embeds.row(item));
+        for block in items.chunks(SCORE_BLOCK) {
+            cat.resize_for_overwrite(block.len(), 2 * e);
+            for (row, &item) in block.iter().enumerate() {
+                let r = cat.row_mut(row);
+                r[..e].copy_from_slice(xu.row(0));
+                r[e..].copy_from_slice(item_embeds.row(item));
+            }
+            self.scorer.forward_into(&mut cat, Mode::Eval, &mut logits);
+            out.extend_from_slice(logits.as_slice());
         }
-        self.scorer.forward_into(&mut cat, Mode::Eval, &mut logits);
-        out.extend_from_slice(logits.as_slice());
         self.ws.put(WS_CU, cu);
         self.ws.put(WS_XU, xu);
         self.ws.put(WS_CAT, cat);
@@ -455,6 +469,49 @@ mod tests {
                 model.score_embedded_into(&user, &embeds, &[], &mut fast);
                 assert!(fast.is_empty());
             });
+        }
+    }
+
+    #[test]
+    fn blocked_scoring_equals_one_unblocked_pass() {
+        // 600 items score as blocks of 256/256/88 rows. Both scoring paths
+        // must reproduce one forward pass over the full 600-row batch bit
+        // for bit, under every kernel policy and thread count. The default
+        // architecture puts the full batch's scorer product above the
+        // parallel threshold, so the reference itself fans out at 2 and 7
+        // threads while every block stays serial.
+        use metadpa_tensor::pool::with_threads;
+        use metadpa_tensor::simd::{self, Policy};
+        let config = PreferenceConfig::default();
+        let mut rng = SeededRng::new(13);
+        let mut model = PreferenceModel::new(config, &mut rng);
+        let item_content = rng.uniform_matrix(600, config.content_dim, -1.0, 1.0);
+        let user: Vec<f32> = (0..config.content_dim).map(|c| 0.05 * c as f32 - 1.1).collect();
+        let items: Vec<usize> = (0..600).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for policy in [Policy::Auto, Policy::ForcedScalar, Policy::Fused] {
+            for threads in [1, 2, 7] {
+                simd::with_policy(policy, || {
+                    with_threads(threads, || {
+                        let input = PreferenceModel::assemble_input(&user, &item_content, &items);
+                        let full = model.forward(&input, Mode::Eval);
+                        let embeds = model.embed_items(&item_content);
+                        let mut blocked = Vec::new();
+                        model.score_items_into(&user, &item_content, &items, &mut blocked);
+                        assert_eq!(
+                            bits(&blocked),
+                            bits(full.as_slice()),
+                            "score_items_into under {policy:?} at {threads} threads"
+                        );
+                        model.score_embedded_into(&user, &embeds, &items, &mut blocked);
+                        assert_eq!(
+                            bits(&blocked),
+                            bits(full.as_slice()),
+                            "score_embedded_into under {policy:?} at {threads} threads"
+                        );
+                    })
+                });
+            }
         }
     }
 

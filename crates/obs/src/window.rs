@@ -275,27 +275,27 @@ impl QuantileDrift {
         }
     }
 
-    /// Records one live score at explicit timestamp `t_ns`. Non-finite
-    /// scores are ignored (the serving path rejects them before ranking
-    /// anyway).
-    pub fn observe_at(&self, t_ns: u64, score: f64) {
-        if !score.is_finite() {
-            return;
-        }
+    /// Records a batch of live scores at explicit timestamp `t_ns`, under
+    /// one slot lock: concurrent requests each feed a whole ranking's
+    /// sample, so one lock per request keeps them from trading the slot
+    /// back and forth per score. Non-finite scores are ignored (the serving
+    /// path rejects them before ranking anyway).
+    pub fn observe_at(&self, t_ns: u64, scores: impl IntoIterator<Item = f64>) {
         let epoch = t_ns / self.slot_width_ns;
         let idx = (epoch % self.slots.len() as u64) as usize;
-        let bin = self.thresholds.partition_point(|&th| score > th);
         let mut slot = self.lock_slot(idx);
         if slot.epoch != epoch {
             slot.epoch = epoch;
             slot.counts.iter_mut().for_each(|c| *c = 0);
         }
-        slot.counts[bin] += 1;
+        for score in scores.into_iter().filter(|s| s.is_finite()) {
+            slot.counts[self.thresholds.partition_point(|&th| score > th)] += 1;
+        }
     }
 
-    /// Records one live score now.
-    pub fn observe(&self, score: f64) {
-        self.observe_at(crate::now_ns(), score);
+    /// Records a batch of live scores now.
+    pub fn observe(&self, scores: impl IntoIterator<Item = f64>) {
+        self.observe_at(crate::now_ns(), scores);
     }
 
     /// `(drift statistic, windowed observation count)` for the window
@@ -436,17 +436,13 @@ mod tests {
         assert_eq!(d.stat_at(0), None, "empty window has no statistic");
 
         // Scores drawn exactly on the fingerprint's quantile grid.
-        for i in 0..1000 {
-            d.observe_at(0, (i as f64 + 0.5) / 1000.0);
-        }
+        d.observe_at(0, (0..1000).map(|i| (i as f64 + 0.5) / 1000.0));
         let (stat, n) = d.stat_at(0).unwrap();
         assert_eq!(n, 1000);
         assert!(stat < 0.01, "on-distribution drift should be ~0, got {stat}");
 
         // A fresh window where every score sits above the last threshold.
-        for _ in 0..100 {
-            d.observe_at(4 * W, 5.0);
-        }
+        d.observe_at(4 * W, [5.0; 100]);
         let (stat, n) = d.stat_at(4 * W).unwrap();
         assert_eq!(n, 100, "the on-distribution scores expired with their window");
         assert!(stat > 0.85, "fully shifted scores must max out the statistic, got {stat}");
@@ -459,8 +455,10 @@ mod tests {
         assert!(QuantileDrift::new(&[0.5], &[f64::NAN], 4, W).is_none());
         // Non-finite observations are dropped, not binned.
         let d = QuantileDrift::new(&[0.5], &[0.0], 1, W).unwrap();
-        d.observe_at(0, f64::NAN);
+        d.observe_at(0, [f64::NAN]);
         assert_eq!(d.stat_at(0), None);
+        d.observe_at(0, [f64::INFINITY, 1.0, f64::NAN]);
+        assert_eq!(d.stat_at(0).map(|(_, n)| n), Some(1));
     }
 
     #[test]

@@ -1,33 +1,43 @@
 //! The thread-safe inference engine: scoring plus the adaptation cache.
 //!
-//! [`Engine`] wraps an [`ArtifactRecommender`] behind a mutex (the model
-//! caches activations, so scoring needs `&mut`) and keeps a per-user cache
-//! of serve-time-adapted parameter sets, LRU-bounded at a configurable
-//! capacity so online graduation at scale cannot grow memory without
-//! limit. Adaptation is deterministic — the same support set always
-//! produces the same parameters — so cache entries never go stale until
-//! replaced by a newer adaptation for the same user, evicted under
-//! capacity pressure (`serve.adapt_cache.evictions`), or invalidated
-//! wholesale by a drift reaction ([`Engine::invalidate_adapted`]).
+//! [`Engine`] serves one reloaded artifact to any number of concurrent
+//! callers without a global lock. The artifact's read-only part (θ, content,
+//! the item embedding table) is one [`SharedArtifact`] behind an `Arc`;
+//! what scoring mutates (a model whose layers cache activations, and a
+//! score buffer) lives in per-caller [`ArtifactRecommender`] handles kept
+//! on a free list. A call pops a handle, ranks or adapts on it with no lock
+//! held, and pushes it back; the free-list mutex guards only the pop and
+//! the push. A handle is built from the shared part only when the list is
+//! empty, so the number of handles never exceeds the peak number of
+//! concurrent calls. Handles score bit-identically to each other, and a
+//! catalogue ranks in fixed 256-row blocks whose products stay below the
+//! matmul kernels' parallel threshold, so each request runs on the thread
+//! that accepted it: requests, not matmul rows, are the unit of parallelism
+//! here. A call that panics drops its handle rather than return one in an
+//! unknown state.
+//!
+//! The engine also keeps a per-user cache of serve-time-adapted parameter
+//! sets, LRU-bounded at a configurable capacity so online graduation at
+//! scale cannot grow memory without limit. Adaptation is deterministic —
+//! the same support set always produces the same parameters — so cache
+//! entries never go stale until replaced by a newer adaptation for the same
+//! user, evicted under capacity pressure (`serve.adapt_cache.evictions`),
+//! or invalidated wholesale by a drift reaction
+//! ([`Engine::invalidate_adapted`]). Every engine mutex is locked through
+//! `lock`, which recovers a poisoned guard: the state behind each one is
+//! valid between any two statements, so a panic elsewhere never takes the
+//! engine down with it.
 //!
 //! The engine is also the serving side of the streaming feedback loop: it
 //! implements [`metadpa_feedback::FeedbackSink`], so the background
 //! `FeedbackAdapter` graduates users cold→warm by calling straight into
 //! [`Engine::adapt_user`] and reacts to the drift alert through
 //! [`Engine::invalidate_adapted`].
-//!
-//! Batch scoring parallelism comes from the tensor layer: a recommend call
-//! ranks the whole catalogue with one batched forward pass (an
-//! `n_items x 2·content_dim` input matrix), so on large catalogues the
-//! row-parallel matmul kernels in `metadpa_tensor::pool` fan the work out
-//! across `METADPA_THREADS` workers — bit-identical to serial, per the
-//! pool's determinism contract, which the tests below pin at the engine
-//! level.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use metadpa_core::artifact::{ArtifactError, ArtifactMeta, ArtifactRecommender};
+use metadpa_core::artifact::{ArtifactError, ArtifactMeta, ArtifactRecommender, SharedArtifact};
 use metadpa_feedback::FeedbackSink;
 use metadpa_obs::window::QuantileDrift;
 use metadpa_tensor::Matrix;
@@ -132,15 +142,21 @@ impl ServeSource {
     }
 }
 
-/// Shared inference state: the reloaded recommender plus the per-user
-/// adaptation cache.
+/// Locks `m`, recovering the guard if a panicking thread poisoned it. Every
+/// engine mutex guards state that is consistent between statements (a free
+/// list of handles, an LRU map), so a panic in some other caller leaves
+/// nothing half-written to refuse.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Shared inference state: the reloaded artifact, the free list of scoring
+/// handles onto it, and the per-user adaptation cache.
 pub struct Engine {
-    rec: Mutex<ArtifactRecommender>,
+    shared: Arc<SharedArtifact>,
+    /// Idle scoring handles; see [`Engine::with_handle`].
+    handles: Mutex<Vec<ArtifactRecommender>>,
     adapted: Mutex<AdaptedCache>,
-    meta: ArtifactMeta,
-    n_users: usize,
-    n_items: usize,
-    content_dim: usize,
     /// Live drift tracker seeded from the artifact's training-score
     /// fingerprint; `None` for pre-fingerprint checkpoints.
     drift: Option<QuantileDrift>,
@@ -153,23 +169,54 @@ impl Engine {
     }
 
     /// Wraps a reloaded recommender, bounding the adapted-parameter cache
-    /// at `capacity` users (LRU eviction beyond that; min 1).
+    /// at `capacity` users (LRU eviction beyond that; min 1). `rec` becomes
+    /// the first handle on the free list.
     pub fn with_adapt_capacity(rec: ArtifactRecommender, capacity: usize) -> Self {
-        let meta = rec.meta().clone();
-        let (n_users, n_items, content_dim) = (rec.n_users(), rec.n_items(), rec.content_dim());
-        let fp = &meta.score_fingerprint;
+        let shared = Arc::clone(rec.shared());
+        let fp = &shared.meta().score_fingerprint;
         let probs: Vec<f64> = fp.probs.iter().map(|&p| p as f64).collect();
         let thresholds: Vec<f64> = fp.quantiles.iter().map(|&q| q as f64).collect();
         let drift = QuantileDrift::with_defaults(&probs, &thresholds);
         Self {
-            rec: Mutex::new(rec),
+            shared,
+            handles: Mutex::new(vec![rec]),
             adapted: Mutex::new(AdaptedCache::new(capacity)),
-            meta,
-            n_users,
-            n_items,
-            content_dim,
             drift,
         }
+    }
+
+    /// Runs `f` on a scoring handle of its own: an idle one from the free
+    /// list, or a new one built from the shared artifact when every handle
+    /// is busy. The free-list lock is held only to pop and to push. If `f`
+    /// panics, the handle unwinds with it instead of going back on the
+    /// list, since the panic may have struck between an adapted restore
+    /// and the rewind to θ.
+    fn with_handle<R>(&self, f: impl FnOnce(&mut ArtifactRecommender) -> R) -> R {
+        let idle = lock(&self.handles).pop();
+        let mut rec =
+            idle.unwrap_or_else(|| ArtifactRecommender::from_shared(Arc::clone(&self.shared)));
+        let out = f(&mut rec);
+        lock(&self.handles).push(rec);
+        out
+    }
+
+    /// Ranks on a handle and feeds its fresh scores into the drift window.
+    fn rank(
+        &self,
+        f: impl FnOnce(&mut ArtifactRecommender) -> Result<Vec<(usize, f32)>, ArtifactError>,
+    ) -> Result<Vec<(usize, f32)>, ArtifactError> {
+        self.with_handle(|rec| {
+            let list = f(rec)?;
+            self.observe_drift(rec.last_scores());
+            Ok(list)
+        })
+    }
+
+    /// Number of idle handles on the free list — after every caller has
+    /// returned, the number of handles this engine ever built.
+    #[cfg(test)]
+    fn idle_handles(&self) -> usize {
+        lock(&self.handles).len()
     }
 
     /// Whether the artifact carried a training-score fingerprint to track
@@ -197,9 +244,7 @@ impl Engine {
             return;
         }
         let stride = scores.len().div_ceil(DRIFT_SAMPLE_CAP).max(1);
-        for s in scores.iter().step_by(stride) {
-            drift.observe(*s as f64);
-        }
+        drift.observe(scores.iter().step_by(stride).map(|&s| s as f64));
         if let Some((stat, _)) = drift.stat() {
             metadpa_obs::gauge_set!("serve.drift.stat", stat);
             metadpa_obs::gauge_set!(
@@ -211,44 +256,44 @@ impl Engine {
 
     /// The artifact's metadata.
     pub fn meta(&self) -> &ArtifactMeta {
-        &self.meta
+        self.shared.meta()
     }
 
     /// Number of users the artifact knows.
     pub fn n_users(&self) -> usize {
-        self.n_users
+        self.shared.n_users()
     }
 
     /// Catalogue size.
     pub fn n_items(&self) -> usize {
-        self.n_items
+        self.shared.n_items()
     }
 
     /// Content vector width requests must match.
     pub fn content_dim(&self) -> usize {
-        self.content_dim
+        self.shared.content_dim()
     }
 
     /// Number of users with a cached adaptation.
     pub fn cached_adaptations(&self) -> usize {
-        self.adapted.lock().expect("engine adaptation cache poisoned").map.len()
+        lock(&self.adapted).map.len()
     }
 
     /// How many cache entries LRU pressure has evicted so far.
     pub fn adapt_cache_evictions(&self) -> u64 {
-        self.adapted.lock().expect("engine adaptation cache poisoned").evictions
+        lock(&self.adapted).evictions
     }
 
     /// A user's cached adapted parameters, without touching LRU recency —
     /// the hook replay tests use to compare cache tensors bit-for-bit.
     pub fn adapted_params(&self, user: usize) -> Option<Arc<Vec<Matrix>>> {
-        self.adapted.lock().expect("engine adaptation cache poisoned").peek(user)
+        lock(&self.adapted).peek(user)
     }
 
     /// Drops every cached adaptation (the drift reaction); returns how
     /// many entries were invalidated. Warm serving from θ is untouched.
     pub fn invalidate_adapted(&self) -> usize {
-        self.adapted.lock().expect("engine adaptation cache poisoned").clear()
+        lock(&self.adapted).clear()
     }
 
     /// Whether the live drift statistic is currently over
@@ -265,11 +310,11 @@ impl Engine {
         item: usize,
         label: f32,
     ) -> Result<(), ArtifactError> {
-        self.rec.lock().expect("engine recommender poisoned").validate_event(user, item, label)
+        self.shared.validate_event(user, item, label)
     }
 
     fn cached(&self, user: usize) -> Option<Arc<Vec<Matrix>>> {
-        self.adapted.lock().expect("engine adaptation cache poisoned").touch(user)
+        lock(&self.adapted).touch(user)
     }
 
     /// Top-`k` for a known user id. Uses the user's cached adapted
@@ -288,9 +333,7 @@ impl Engine {
             metadpa_obs::counter_add!("serve.adapt_cache.miss", 1);
             ServeSource::Warm
         };
-        let mut rec = self.rec.lock().expect("engine recommender poisoned");
-        let list = rec.recommend(user, k, params.as_deref().map(Vec::as_slice))?;
-        self.observe_drift(rec.last_scores());
+        let list = self.rank(|rec| rec.recommend(user, k, params.as_deref().map(Vec::as_slice)))?;
         Ok((list, source))
     }
 
@@ -301,21 +344,15 @@ impl Engine {
         k: usize,
     ) -> Result<Vec<(usize, f32)>, ArtifactError> {
         let _s = metadpa_obs::span!("engine.recommend_content");
-        let mut rec = self.rec.lock().expect("engine recommender poisoned");
-        let list = rec.recommend_content(content, k, None)?;
-        self.observe_drift(rec.last_scores());
-        Ok(list)
+        self.rank(|rec| rec.recommend_content(content, k, None))
     }
 
     /// Top-`k` for a cold request carrying no content at all: scores the
-    /// "average user" vector (column mean of the training user content).
+    /// "average user" vector (column mean of the training user content,
+    /// computed once at reload).
     pub fn recommend_cold_default(&self, k: usize) -> Result<Vec<(usize, f32)>, ArtifactError> {
         let _s = metadpa_obs::span!("engine.recommend_cold");
-        let mut rec = self.rec.lock().expect("engine recommender poisoned");
-        let mean = rec.mean_user_content();
-        let list = rec.recommend_content(&mean, k, None)?;
-        self.observe_drift(rec.last_scores());
-        Ok(list)
+        self.rank(|rec| rec.recommend_content(self.shared.mean_user_content(), k, None))
     }
 
     /// Runs the serve-time MAML inner loop on a known user's support set
@@ -328,12 +365,9 @@ impl Engine {
         support: &[(usize, f32)],
     ) -> Result<usize, ArtifactError> {
         let _s = metadpa_obs::span!("engine.adapt_user");
-        let adapted = {
-            let mut rec = self.rec.lock().expect("engine recommender poisoned");
-            rec.adapt_user(user, support)?
-        };
+        let adapted = self.with_handle(|rec| rec.adapt_user(user, support))?;
         metadpa_obs::counter_add!("serve.adaptations", 1);
-        let mut cache = self.adapted.lock().expect("engine adaptation cache poisoned");
+        let mut cache = lock(&self.adapted);
         cache.insert(user, Arc::new(adapted));
         Ok(cache.map.len())
     }
@@ -348,17 +382,16 @@ impl Engine {
         k: usize,
     ) -> Result<Vec<(usize, f32)>, ArtifactError> {
         let _s = metadpa_obs::span!("engine.adapt_content");
-        let mut rec = self.rec.lock().expect("engine recommender poisoned");
-        let adapted = rec.adapt_content(content, support)?;
-        metadpa_obs::counter_add!("serve.adaptations", 1);
-        let list = rec.recommend_content(content, k, Some(&adapted))?;
-        self.observe_drift(rec.last_scores());
-        Ok(list)
+        self.rank(|rec| {
+            let adapted = rec.adapt_content(content, support)?;
+            metadpa_obs::counter_add!("serve.adaptations", 1);
+            rec.recommend_content(content, k, Some(&adapted))
+        })
     }
 
     /// Drops a user's cached adaptation; returns whether one existed.
     pub fn evict(&self, user: usize) -> bool {
-        self.adapted.lock().expect("engine adaptation cache poisoned").map.remove(&user).is_some()
+        lock(&self.adapted).map.remove(&user).is_some()
     }
 }
 
@@ -389,12 +422,16 @@ mod tests {
     use metadpa_tensor::SeededRng;
 
     fn tiny_rec(seed: u64) -> ArtifactRecommender {
+        rec_with(seed, 4, 9)
+    }
+
+    fn rec_with(seed: u64, n_users: usize, n_items: usize) -> ArtifactRecommender {
         let pref = PreferenceConfig { content_dim: 6, embed_dim: 5, hidden: [8, 4] };
         let maml = MamlConfig { finetune_steps: 2, ..MamlConfig::default() };
         let mut rng = SeededRng::new(seed);
         let mut learner = MetaLearner::new(pref, maml, &mut rng);
-        let user_content = rng.uniform_matrix(4, 6, -1.0, 1.0);
-        let item_content = rng.uniform_matrix(9, 6, -1.0, 1.0);
+        let user_content = rng.uniform_matrix(n_users, 6, -1.0, 1.0);
+        let item_content = rng.uniform_matrix(n_items, 6, -1.0, 1.0);
         let artifact = artifact_from_learner(
             &mut learner,
             "unit",
@@ -581,6 +618,134 @@ mod tests {
 
         let err = sink.graduate(99, &[(0, 1.0)], true).expect_err("bad user");
         assert!(err.contains("99"), "error carries the offending user: {err}");
+    }
+
+    fn list_bits(list: &[(usize, f32)]) -> Vec<(usize, u32)> {
+        list.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    }
+
+    #[test]
+    fn concurrent_callers_match_a_serial_single_handle_reference() {
+        // 300 items: every ranking spans a 256-row block boundary. Users
+        // 0..4 are adapted before the threads start (adapted-cache reads),
+        // users 4..8 are adapted by the threads themselves, and users 8..12
+        // only ever read θ, so every call has one correct answer however the
+        // threads interleave.
+        const K: usize = 7;
+        const THREADS: usize = 4;
+        let support = |u: usize| vec![(u * 3 % 300, 1.0f32), ((u * 7 + 11) % 300, 0.0)];
+        let content = |c: usize| (0..6).map(|j| 0.1 * (c + j) as f32 - 0.4).collect::<Vec<f32>>();
+
+        let mut reference = rec_with(41, 12, 300);
+        let adapted: Vec<Vec<Matrix>> = (0..8)
+            .map(|u| reference.adapt_user(u, &support(u)).expect("reference adapt"))
+            .collect();
+        let warm: Vec<_> =
+            (0..12).map(|u| reference.recommend(u, K, None).expect("warm")).collect();
+        let from_cache: Vec<_> = (0..4)
+            .map(|u| reference.recommend(u, K, Some(&adapted[u])).expect("adapted"))
+            .collect();
+        let cold: Vec<_> = (0..3)
+            .map(|c| reference.recommend_content(&content(c), K, None).expect("cold"))
+            .collect();
+        let one_shot: Vec<_> = (0..3)
+            .map(|c| {
+                let p = reference.adapt_content(&content(c), &support(c)).expect("adapt content");
+                reference.recommend_content(&content(c), K, Some(&p)).expect("one-shot")
+            })
+            .collect();
+
+        let engine = Engine::new(rec_with(41, 12, 300));
+        for u in 0..4 {
+            engine.adapt_user(u, &support(u)).expect("pre-adapt");
+        }
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (engine, barrier) = (&engine, &barrier);
+                let (warm, from_cache, cold, one_shot) = (&warm, &from_cache, &cold, &one_shot);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..24 {
+                        let c = (t + i) % 3;
+                        match (t + i) % 5 {
+                            0 => {
+                                let u = (t + i) % 4;
+                                let (list, source) = engine.recommend_user(u, K).expect("cached");
+                                assert_eq!(source, ServeSource::AdaptedCache);
+                                assert_eq!(list_bits(&list), list_bits(&from_cache[u]), "user {u}");
+                            }
+                            1 => {
+                                let u = 8 + (t + i) % 4;
+                                let (list, source) = engine.recommend_user(u, K).expect("warm");
+                                assert_eq!(source, ServeSource::Warm);
+                                assert_eq!(list_bits(&list), list_bits(&warm[u]), "user {u}");
+                            }
+                            2 => {
+                                let list = engine.recommend_content(&content(c), K).expect("cold");
+                                assert_eq!(list_bits(&list), list_bits(&cold[c]), "content {c}");
+                            }
+                            3 => {
+                                let list = engine
+                                    .adapt_and_recommend_content(&content(c), &support(c), K)
+                                    .expect("one-shot");
+                                assert_eq!(
+                                    list_bits(&list),
+                                    list_bits(&one_shot[c]),
+                                    "content {c}"
+                                );
+                            }
+                            _ => {
+                                let u = 4 + (t + i) % 4;
+                                engine.adapt_user(u, &support(u)).expect("adapt");
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        for (u, want) in adapted.iter().enumerate().skip(4) {
+            let got = engine.adapted_params(u).expect("adapted by a thread");
+            assert_eq!(*got, *want, "user {u}'s cached parameters");
+        }
+        let handles = engine.idle_handles();
+        assert!((1..=THREADS).contains(&handles), "{handles} handles for {THREADS} callers");
+    }
+
+    #[test]
+    fn a_panicking_caller_drops_its_handle() {
+        let engine = tiny_engine(29);
+        let want = engine.recommend_user(1, 4).expect("before").0;
+        assert_eq!(engine.idle_handles(), 1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.with_handle(|_| panic!("caller panics mid-request"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(engine.idle_handles(), 0, "the panicking caller's handle is not reused");
+        assert_eq!(engine.recommend_user(1, 4).expect("after").0, want, "a fresh handle serves");
+        assert_eq!(engine.idle_handles(), 1);
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_take_the_engine_down() {
+        let engine = tiny_engine(28);
+        let want = engine.recommend_user(1, 4).expect("before").0;
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _cache = engine.adapted.lock().unwrap();
+                let _handles = engine.handles.lock().unwrap();
+                panic!("poison both engine locks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(engine.adapted.is_poisoned() && engine.handles.is_poisoned());
+
+        let (list, source) = engine.recommend_user(1, 4).expect("recommend after poisoning");
+        assert_eq!((list, source), (want, ServeSource::Warm));
+        assert_eq!(engine.adapt_user(1, &[(0, 1.0), (5, 0.0)]).expect("adapt"), 1);
+        assert_eq!(engine.cached_adaptations(), 1);
+        let (_, source) = engine.recommend_user(1, 4).expect("adapted after poisoning");
+        assert_eq!(source, ServeSource::AdaptedCache);
     }
 
     #[test]

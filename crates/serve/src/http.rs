@@ -10,6 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,8 +50,10 @@ impl Response {
     }
 }
 
-/// The application: maps a request to a response. Must be panic-free for
-/// well-formed input; panics kill only the offending worker's connection.
+/// The application: maps a request to a response. Should be panic-free;
+/// a panic that escapes it anyway is caught per request, answered with a
+/// 500 and counted as `serve.errors.500.panic`, and the worker thread goes
+/// on serving.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// Transport configuration.
@@ -255,7 +258,14 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(read_timeout));
     match read_request(&mut stream, max_body) {
         Ok(Some(req)) => {
-            let resp = handler(&req);
+            // Unwind safety: the handler's shared state is the engine, whose
+            // locks recover from poisoning and whose panicking callers drop
+            // their scoring handles, so nothing is left half-updated.
+            let resp =
+                panic::catch_unwind(AssertUnwindSafe(|| handler(&req))).unwrap_or_else(|_| {
+                    metadpa_obs::counter_add!("serve.errors.500.panic", 1);
+                    Response::text(500, "internal error: the request handler panicked\n".into())
+                });
             write_response(&mut stream, &resp);
         }
         Ok(None) => {}
@@ -388,6 +398,33 @@ mod tests {
         let resp = raw_request(addr, "POST / HTTP/1.1\r\nContent-Length: 100000\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 413"), "{resp}");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_a_500_not_a_worker() {
+        // More panics than workers: had any of them killed its worker, the
+        // last request (or the health check) would never be accepted.
+        let _obs = metadpa_obs::test_lock();
+        metadpa_obs::enable(Arc::new(metadpa_obs::NullRecorder));
+        metadpa_obs::metrics::reset();
+        let workers = 2;
+        let handler: Handler = Arc::new(|req: &Request| match req.path.as_str() {
+            "/boom" => panic!("handler bug"),
+            _ => Response::text(200, "ok".into()),
+        });
+        let server =
+            serve(ServerConfig { workers, ..ServerConfig::default() }, handler).expect("bind");
+        let addr = server.addr();
+        for _ in 0..workers + 1 {
+            let resp = raw_request(addr, "GET /boom HTTP/1.1\r\n\r\n");
+            assert!(resp.starts_with("HTTP/1.1 500"), "{resp}");
+        }
+        let resp = raw_request(addr, "GET /health HTTP/1.1\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        let panics = metadpa_obs::metrics::counter("serve.errors.500.panic").get();
+        assert_eq!(panics, workers as u64 + 1);
+        server.shutdown();
+        metadpa_obs::disable();
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!    pipeline exports) onto that container, so a model round-trips
 //!    through disk bit-exactly.
 //! 3. [`engine`] + [`http`] + [`server`] — a thread-safe inference engine
-//!    with an LRU-bounded per-user adaptation cache, a minimal HTTP/1.1
-//!    server on `std::net` with a fixed worker pool and graceful shutdown,
-//!    and the route table (`/v1/recommend`, `/v1/adapt`, `/v1/feedback`,
+//!    that serves concurrent requests on per-caller scoring handles over
+//!    one shared artifact, with an LRU-bounded per-user adaptation cache;
+//!    a minimal HTTP/1.1 server on `std::net` with a fixed worker pool,
+//!    per-request panic containment and graceful shutdown; and the route
+//!    table (`/v1/recommend`, `/v1/adapt`, `/v1/feedback`,
 //!    `/health`, `/metrics`). The engine implements
 //!    [`metadpa_feedback::FeedbackSink`], so the streaming feedback
 //!    adapter can graduate cold users into the adapted cache live.

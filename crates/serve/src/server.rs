@@ -494,6 +494,7 @@ fn seed_serve_metrics() {
         "serve.errors.400.bad_content_length",
         "serve.errors.408.timeout",
         "serve.errors.413.body_too_large",
+        "serve.errors.500.panic",
     ] {
         let _ = metadpa_obs::metrics::counter(name);
     }
@@ -743,6 +744,7 @@ mod tests {
             "serve_errors_404_unknown_path",
             "serve_errors_405_bad_method",
             "serve_errors_413_body_too_large",
+            "serve_errors_500_panic",
             "serve_errors_422_user_out_of_range",
             // Feedback subsystem schema: ingestion counters, adapter-side
             // graduation/invalidation counters, and the cache gauges are
@@ -872,7 +874,7 @@ mod tests {
     fn nan_scoring_artifact_is_422_and_the_server_stays_alive() {
         // A CRC-valid artifact whose weights are all NaN restores cleanly
         // but scores every catalogue item as NaN. Before the non-finite
-        // guard in `ArtifactRecommender::rank` this panicked inside
+        // guard in catalogue ranking this panicked inside
         // `top_k_indices` and killed the worker; now it must be a typed
         // 422 with /health still answering afterwards.
         let _obs = metadpa_obs::test_lock();

@@ -606,7 +606,8 @@ impl Matrix {
     /// `NAIVE_MAX_MULADDS`; both accumulate each output element over `p` in
     /// ascending order, so the result is bit-identical regardless of the
     /// path taken — and bit-identical at any thread count, since the
-    /// parallel path only partitions output rows.
+    /// parallel path only partitions output rows. Under the fused policy
+    /// every shape takes the fused kernel (see `takes_naive`).
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
@@ -631,7 +632,7 @@ impl Matrix {
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
         out.reset_zeroed(m, n);
-        if m * k * n < NAIVE_MAX_MULADDS {
+        if takes_naive(m * k * n) {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
             let skip_zeros = scalar_zero_skip(self, other, n);
             crate::reference::matmul_rows(self, other, 0..m, skip_zeros, &mut out.data);
@@ -691,7 +692,7 @@ impl Matrix {
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
         out.reset_zeroed(m, n);
-        if m * k * n < NAIVE_MAX_MULADDS {
+        if takes_naive(m * k * n) {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
             let skip_zeros = scalar_zero_skip(self, other, n);
             crate::reference::matmul_tn_rows(self, other, 0..m, skip_zeros, &mut out.data);
@@ -771,7 +772,7 @@ impl Matrix {
         out.reset_zeroed(m, n);
         // Packing B^T costs k*n writes, amortized over the m output rows —
         // worth it only when there are at least a few rows to amortize over.
-        if m * k * n < NAIVE_MAX_MULADDS || m < MR {
+        if takes_naive(m * k * n) || (m < MR && !crate::simd::fused_active()) {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
             crate::reference::matmul_nt_rows(self, other, 0..m, &mut out.data);
         } else {
@@ -850,6 +851,17 @@ const PAR_MIN_MULADDS: usize = 1 << 20;
 /// accumulate each output element in the same order, so the dispatch choice
 /// never changes a single bit of the result.
 const NAIVE_MAX_MULADDS: usize = 1 << 12;
+
+/// Whether a product of `muladds` multiply-adds routes to the naive kernel.
+/// The exact kernels agree bit for bit, so the choice is free there. The
+/// fused kernels round once per multiply-add and differ from the naive
+/// kernel in the last bits, so under an active [`crate::simd::Policy::Fused`]
+/// every product takes them: a row's result then never depends on how many
+/// rows share its batch, which is what lets fused catalogue ranking score in
+/// blocks (or one precomputed row at a time) bit-identically to one pass.
+fn takes_naive(muladds: usize) -> bool {
+    muladds < NAIVE_MAX_MULADDS && !crate::simd::fused_active()
+}
 
 /// Width (in f32 columns) of one packed B panel. `k x JT` floats per panel:
 /// at the repo's typical `k <= 512` a panel stays under 256 KiB and

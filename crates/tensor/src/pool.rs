@@ -1,9 +1,11 @@
 //! Deterministic scoped fan-out for the hot loops — std-only, no unsafe.
 //!
 //! Every parallel region in the repository goes through [`Pool`]: row-blocked
-//! matmul kernels, per-pair Dual-CVAE training, per-task MAML inner loops,
-//! per-user evaluation scoring and serve-side batch scoring. The design
-//! goals, in order:
+//! matmul kernels, per-pair Dual-CVAE training, per-task MAML inner loops
+//! and per-user evaluation scoring. Serving is the exception: it ranks a
+//! catalogue in 256-row blocks that stay below the matmul parallel
+//! threshold, so each request runs on the server thread that accepted it,
+//! and concurrent requests are its parallelism. The design goals, in order:
 //!
 //! 1. **Bit-identical results at any thread count.** The pool only ever
 //!    *partitions* independent work ([`Pool::partition`] yields contiguous

@@ -10,7 +10,8 @@
 //! The production dispatcher also routes *tiny* products here (see
 //! `NAIVE_MAX_MULADDS` in `matrix.rs`) — safe precisely because these kernels
 //! accumulate every output element over `p` in ascending order, the same
-//! per-element order the blocked kernels preserve.
+//! per-element order the exact blocked kernels preserve. Under the fused
+//! policy nothing routes here: these kernels round twice per multiply-add.
 
 use crate::matrix::Matrix;
 

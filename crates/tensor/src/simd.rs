@@ -123,6 +123,12 @@ pub fn with_policy<R>(policy: Policy, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Whether matmuls on this thread run the fused kernels: the policy is
+/// [`Policy::Fused`] and the host has them.
+pub(crate) fn fused_active() -> bool {
+    current_policy() == Policy::Fused && available()
+}
+
 /// Whether the host can run the AVX2/FMA microkernels. Probed once.
 pub fn available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
